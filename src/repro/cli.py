@@ -45,6 +45,7 @@ from .errors import ConfigurationError, ReproError
 from .observability import SimProfiler, SimTracer, profiling, tracing
 from .observability.trace import TRACE_FORMATS
 from .resilience import ResilienceConfig, failure_summary
+from .san import ENGINES, resolve_engine
 
 
 def _cmd_list_schedulers(args: argparse.Namespace) -> int:
@@ -209,7 +210,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         fired = profiler.counters.get("engine.ticks_fired", 0)
         skipped = profiler.counters.get("engine.ticks_fast_forwarded", 0)
         print(
-            f"engine: {args.engine} "
+            f"engine: {resolve_engine(args.engine)} "
             f"(clock ticks fired {fired}, fast-forwarded {skipped})",
             file=sys.stderr,
         )
@@ -394,13 +395,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--engine",
-        choices=("incremental", "rescan", "compiled", "batch"),
-        default="incremental",
-        help="enablement engine: incremental (cached, default), rescan "
-        "(full re-evaluation reference), compiled (flat-array lowering "
-        "with clock-tick fast-forward), or batch (replication groups "
-        "advanced in waves over one shared calendar); results are "
-        "bit-identical across all four",
+        choices=ENGINES,
+        default=None,
+        help="enablement engine: compiled (flat-array lowering with "
+        "clock-tick fast-forward; the library default), incremental "
+        "(cached enablement), rescan (full re-evaluation reference), or "
+        "batch (replication groups advanced in waves over one shared "
+        "calendar); results are bit-identical across all four",
     )
     run_parser.add_argument(
         "--batch-width",

@@ -84,8 +84,9 @@ def run_experiment(
             differential testing).  When a ``resilience`` config is
             given, its own ``incremental`` field wins.
         engine: enablement engine for every replication —
-            ``"incremental"``, ``"rescan"``, or ``"compiled"``
-            (bit-identical results; compiled is the fast path).  Wins
+            ``"compiled"`` (the default when ``None``: flat-array
+            lowering plus clock-tick fast-forward), ``"incremental"``,
+            ``"rescan"`` or ``"batch"`` (bit-identical results).  Wins
             over ``incremental``; when a ``resilience`` config is given,
             its own ``engine`` field wins.
 

@@ -409,8 +409,10 @@ def simulate_once(
         tracer: optional :class:`~repro.observability.SimTracer`;
             activated around the run so every layer's hooks emit into it.
         profile: collect per-subsystem timings (``Simulation.stats()``).
-        engine: enablement engine name — ``"incremental"`` (default),
-            ``"rescan"``, or ``"compiled"`` (see :mod:`repro.san.compiled`).
+        engine: enablement engine name — ``"compiled"`` (the default
+            when ``None``; see :mod:`repro.san.compiled`),
+            ``"incremental"``, ``"rescan"`` or ``"batch"``; results are
+            bit-identical across all of them.
         reuse: check the built model out of the per-process cache when an
             identical spec/engine pair ran before (cheap reset + reseed
             instead of a rebuild); bit-identical results either way.

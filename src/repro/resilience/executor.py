@@ -37,6 +37,7 @@ from ..des.random_streams import derive_seed
 from ..errors import ConfigurationError, ReplicationError
 from ..metrics.stats import ConvergenceMonitor
 from ..observability import trace as _trace
+from ..san.compiled import resolve_engine
 from .chaos import ChaosSpec
 from .checkpoint import CheckpointStore, fingerprint
 from .failures import FailureKind, ReplicationFailure, failure_summary
@@ -72,8 +73,9 @@ class ResilienceConfig:
         incremental: legacy enablement-engine toggle (False forces the
             full-rescan reference engine); ignored when ``engine`` is set.
         engine: enablement engine for every replication —
-            ``"incremental"``, ``"rescan"``, ``"compiled"``, or
-            ``"batch"``; results are bit-identical across all four.
+            ``"compiled"`` (the default when ``None``), ``"incremental"``,
+            ``"rescan"``, or ``"batch"``; results are bit-identical
+            across all four.
             ``"batch"`` additionally lets the serial driver and the
             sweep pool dispatch groups of clean (unguarded, chaos-free)
             replications through one shared calendar.
@@ -368,7 +370,7 @@ def bind_cache(
     payload = cacheable_spec_payload(spec)
     if payload is None:
         return None
-    engine = config.engine or ("incremental" if config.incremental else "rescan")
+    engine = resolve_engine(config.engine, config.incremental)
     return CacheBinding(
         shared_cache(config.cache_dir), payload, engine, root_seed, extra_probes
     )

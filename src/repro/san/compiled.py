@@ -13,9 +13,10 @@ integer activity index:
   scanned with ``bytearray.find`` (a C-level memchr) instead of a
   Python loop over state objects;
 * the cell -> dependent-activities watcher index maps ``id(cell)`` to a
-  prebuilt list of integer indices, and writes propagate *eagerly*: the
-  dirty sink installed during completions flips stale bytes directly,
-  so there is no deferred flush pass at all;
+  prebuilt list of integer indices; a completion's written cells are
+  collected in a plain set (deduplicated at C speed) and flipped into
+  the stale bytes as soon as the completion returns, so there is no
+  separate flush pass;
 * timed rescheduling walks prebuilt ``(index, activity, key, rng)``
   rows — no attribute lookups or stream-cache probes per event.
 
@@ -72,12 +73,13 @@ ENGINES = ("incremental", "rescan", "compiled", "batch")
 def resolve_engine(engine: Optional[str] = None, incremental: bool = True) -> str:
     """Normalise the engine selection, honouring the legacy boolean.
 
-    ``engine`` wins when given; otherwise the PR 2-era ``incremental``
-    flag picks between the two original engines, keeping every existing
-    call site's behaviour unchanged.
+    ``engine`` wins when given; otherwise the legacy ``incremental``
+    flag picks between the default engine (``compiled``, bit-identical
+    to the others and the fastest on the VMM models) and the
+    ``rescan`` reference engine it was introduced to switch off.
     """
     if engine is None:
-        return "incremental" if incremental else "rescan"
+        return "compiled" if incremental else "rescan"
     if engine not in ENGINES:
         raise ConfigurationError(
             f"unknown enablement engine {engine!r}; expected one of {ENGINES}"
@@ -112,28 +114,6 @@ def build_simulator(
         max_instantaneous_chain=max_instantaneous_chain,
         incremental=(name == "incremental"),
     )
-
-
-class _EagerDirtySink:
-    """Dirty sink that flips stale bytes at write time.
-
-    Installed as ``places._dirty_sink`` around completions; any object
-    with ``add`` satisfies the sink protocol, so writes propagate to
-    the flat stale array with no intermediate set and no flush pass.
-    """
-
-    __slots__ = ("_watchers", "_stale")
-
-    def __init__(self, watchers: Dict[int, List[int]], stale: bytearray) -> None:
-        self._watchers = watchers
-        self._stale = stale
-
-    def add(self, cell: Any) -> None:
-        dependents = self._watchers.get(id(cell))
-        if dependents is not None:
-            stale = self._stale
-            for index in dependents:
-                stale[index] = 1
 
 
 class CompiledSANSimulator(SANSimulator):
@@ -187,7 +167,11 @@ class CompiledSANSimulator(SANSimulator):
         self._cell_pins: Dict[int, Any] = {}
         self._scratch: set = set()
         self._ff_reads: set = set()
-        self._dirty = _EagerDirtySink(self._watchers, self._stale)
+        # Cells written by the completion in progress.  A plain set is
+        # the dirty sink (C-level add, and a gate function that touches
+        # one slot dict five times marks it once); it is propagated to
+        # the stale bytes when the completion returns.
+        self._written: set = set()
         self.refreshes = 0
         # Activities re-marked stale at every synchronisation point:
         # volatile gates up front, empty observed read sets on demand.
@@ -219,6 +203,16 @@ class CompiledSANSimulator(SANSimulator):
                 self._always_for(index).append(index)
             for cell in activity.declared_read_cells():
                 self._watch(index, cell)
+        # The enablement index as built, before any closure evaluation
+        # extends it: reset() restores it, so a reused simulator learns
+        # (and counts) exactly what a fresh one would.
+        self._built_index = (
+            {key: list(dependents) for key, dependents in self._watchers.items()},
+            dict(self._cell_pins),
+            [set(cells) for cells in self._act_cells],
+            list(self._always_inst),
+            list(self._always_timed),
+        )
         self._bind_compiled_rows()
         # Clock fast-forward: the model publishes the spec (or not).
         spec = getattr(self.model, "tick_fast_forward", None)
@@ -270,9 +264,15 @@ class CompiledSANSimulator(SANSimulator):
         super().reset(streams)
         self._bind_compiled_rows()
         self._stale[:] = b"\x01" * len(self._stale)
-        for index in range(len(self._enabled)):
-            self._enabled[index] = 0
+        self._enabled[:] = bytes(len(self._enabled))
+        self._written.clear()  # left over only if a completion raised
         self.refreshes = 0
+        watchers, pins, act_cells, always_inst, always_timed = self._built_index
+        self._watchers = {key: list(deps) for key, deps in watchers.items()}
+        self._cell_pins = dict(pins)
+        self._act_cells = [set(cells) for cells in act_cells]
+        self._always_inst = list(always_inst)
+        self._always_timed = list(always_timed)
 
     # -- enablement refresh --------------------------------------------------
 
@@ -285,6 +285,19 @@ class CompiledSANSimulator(SANSimulator):
         watcher edges extended for newly observed cells — stale edges
         from earlier control paths only ever cause spurious refreshes.
         """
+        pred = self._ir_preds[index]
+        if pred is not None:
+            # Fused IR conjunction (checked first: on the VMM models it
+            # is nearly every refresh): reads are derived (already
+            # watched), so the read-sink protocol is skipped entirely.
+            # The cost is accounted as the gate count — an upper bound,
+            # since the generated conjunction short-circuits like holds().
+            self.refreshes += 1
+            _gates._EVALUATIONS += self._ir_costs[index]
+            enabled = 1 if pred() else 0
+            self._stale[index] = 0
+            self._enabled[index] = enabled
+            return enabled
         gates = self._act_gates[index]
         if not gates:
             # Gate-less activities are never enabled (the Activity
@@ -301,18 +314,6 @@ class CompiledSANSimulator(SANSimulator):
             self._stale[index] = 0
             self._enabled[index] = const
             return const
-        pred = self._ir_preds[index]
-        if pred is not None:
-            # Fused IR conjunction: reads are derived (already watched),
-            # so the read-sink protocol is skipped entirely.  The cost
-            # is accounted as the gate count — an upper bound, since
-            # the generated conjunction short-circuits like holds().
-            self.refreshes += 1
-            _gates.count_evaluations(self._ir_costs[index])
-            enabled = 1 if pred() else 0
-            self._stale[index] = 0
-            self._enabled[index] = enabled
-            return enabled
         self.refreshes += 1
         scratch = self._scratch
         scratch.clear()
@@ -351,14 +352,29 @@ class CompiledSANSimulator(SANSimulator):
         if tracer is not None:
             self._complete_traced(activity, tracer)
             return
+        written = self._written
         previous = _places._dirty_sink
-        _places._dirty_sink = self._dirty
+        _places._dirty_sink = written
         try:
             activity.complete(self._rngs[activity])
         finally:
             _places._dirty_sink = previous
+        if written:
+            self._mark_stale(written)
         self._completions += 1
-        self._notify_impulse(activity)
+        if self._impulse_rewards:
+            self._notify_impulse(activity)
+
+    def _mark_stale(self, written: set) -> None:
+        """Stale every activity watching a written cell; empties the set."""
+        watchers = self._watchers
+        stale = self._stale
+        for cell in written:
+            dependents = watchers.get(id(cell))
+            if dependents is not None:
+                for index in dependents:
+                    stale[index] = 1
+        written.clear()
 
     def _complete_traced(self, activity: Activity, tracer: "_trace.SimTracer") -> None:
         tracer._now = self.clock.now
@@ -369,15 +385,14 @@ class CompiledSANSimulator(SANSimulator):
             activity.complete(self._rngs[activity])
         finally:
             _places._dirty_sink = previous
-        mark = self._dirty.add
-        for cell in written:
-            mark(cell)
+        names = self._write_names(written)
+        self._mark_stale(written)
         tracer.emit(
             _trace.ACTIVITY_FIRE,
             time=self.clock.now,
             activity=activity.qualified_name,
             timed=isinstance(activity, TimedActivity),
-            writes=self._write_names(written),
+            writes=names,
         )
         self._completions += 1
         self._notify_impulse(activity)
@@ -390,6 +405,9 @@ class CompiledSANSimulator(SANSimulator):
         Invariant exploited by the scan: indices below the cursor are
         fresh and disabled, so the first set byte in either array —
         whichever comes first — decides without touching state objects.
+        Fused IR conjunctions — nearly every refresh on the VMM models —
+        are evaluated inline (the body of :meth:`_refresh`'s IR branch,
+        with its counters summed locally and added back on exit).
         """
         stale = self._stale
         enabled = self._enabled
@@ -398,32 +416,51 @@ class CompiledSANSimulator(SANSimulator):
         always = self._always_inst
         refresh = self._refresh
         complete = self._complete
+        ir_preds = self._ir_preds
+        ir_costs = self._ir_costs
+        ir_refreshes = 0
+        ir_evaluations = 0
         chain = 0
-        while True:
-            for index in always:
-                stale[index] = 1
-            fired = -1
-            cursor = 0
+        try:
             while True:
-                first_stale = stale.find(1, cursor, n)
-                if first_stale == -1:
-                    fired = enabled.find(1, cursor, n)
-                    break
-                first_enabled = enabled.find(1, cursor, first_stale)
-                if first_enabled != -1:
-                    fired = first_enabled
-                    break
-                if refresh(first_stale):
-                    fired = first_stale
-                    break
-                cursor = first_stale + 1
-            if fired == -1:
-                return
-            fired_activity = acts[fired]
-            complete(fired_activity)
-            chain += 1
-            if chain > self.max_instantaneous_chain:
-                raise self._chain_error(fired_activity)
+                for index in always:
+                    stale[index] = 1
+                fired = -1
+                cursor = 0
+                while True:
+                    first_stale = stale.find(1, cursor, n)
+                    if first_stale == -1:
+                        fired = enabled.find(1, cursor, n)
+                        break
+                    if first_stale > cursor:
+                        first_enabled = enabled.find(1, cursor, first_stale)
+                        if first_enabled != -1:
+                            fired = first_enabled
+                            break
+                    pred = ir_preds[first_stale]
+                    if pred is not None:
+                        ir_refreshes += 1
+                        ir_evaluations += ir_costs[first_stale]
+                        stale[first_stale] = 0
+                        if pred():
+                            enabled[first_stale] = 1
+                            fired = first_stale
+                            break
+                        enabled[first_stale] = 0
+                    elif refresh(first_stale):
+                        fired = first_stale
+                        break
+                    cursor = first_stale + 1
+                if fired == -1:
+                    return
+                fired_activity = acts[fired]
+                complete(fired_activity)
+                chain += 1
+                if chain > self.max_instantaneous_chain:
+                    raise self._chain_error(fired_activity)
+        finally:
+            self.refreshes += ir_refreshes
+            _gates._EVALUATIONS += ir_evaluations
 
     def _reschedule_timed(self) -> None:
         stale = self._stale
@@ -518,12 +555,14 @@ class CompiledSANSimulator(SANSimulator):
         self._advance_rewards(t_first)
         self._advance_rewards_constant(t_first, k - 1)
         self.clock.advance_to(t_first + (k - 1))
+        written = self._written
         previous = _places._dirty_sink
-        _places._dirty_sink = self._dirty
+        _places._dirty_sink = written
         try:
             spec.apply(k)
         finally:
             _places._dirty_sink = previous
+            self._mark_stale(written)
         skipped_completions = k * spec.per_tick_completions
         self._completions += skipped_completions
         self.ticks_fast_forwarded += k

@@ -45,6 +45,7 @@ are exactly ``==`` across all compilation strategies, not merely close.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy
@@ -783,9 +784,21 @@ def _emit_scalar(expr: Expr, ctx: _Ctx) -> str:
     raise ModelError(f"unknown expression node {type(expr).__name__}")
 
 
+@functools.lru_cache(maxsize=4096)
+def _code_for(src: str) -> Any:
+    """The code object of generated source, memoized by the source text.
+
+    Generated source names only its bound objects (``p0``, ``s1``, ...),
+    never the objects themselves, so every build of one model shape
+    emits the same text: only the first build pays for ``compile()``.
+    """
+    return compile(src, "<san-expr-ir>", "exec")
+
+
 def _compile_function(src: str, env: Dict[str, Any], name: str) -> Callable:
-    code = compile(src, "<san-expr-ir>", "exec")
-    exec(code, env)
+    # exec runs into the caller's fresh env, so each evaluator still
+    # closes over its own places even when the code object is shared.
+    exec(_code_for(src), env)
     return env[name]
 
 

@@ -70,6 +70,8 @@ class _ValueCell:
 # its getter, a ``.value`` read outside any read sink is conservatively
 # counted as a potential write — gate functions mutate slot dicts in
 # place through exactly that path, and guessing would break semantics.
+# Gate functions that only *look* at a value use
+# :meth:`ExtendedPlace.peek` instead, which never counts as a write.
 
 _WRITE_EPOCH = 0
 _read_sink: Optional[Set[Any]] = None
@@ -234,6 +236,20 @@ class ExtendedPlace:
     def value(self, new_value: Any) -> None:
         self._cell.value = new_value
         _mark_written(self._cell)
+
+    def peek(self) -> Any:
+        """The current value for a read-only look; never marks a write.
+
+        Like the getter under a read sink, the read is recorded there
+        when one is installed; unlike the bare getter, a ``peek()``
+        outside any sink is *not* counted as a potential write.  The
+        caller promises not to mutate the returned object (or anything
+        reachable from it) — mutate through :attr:`value`, which keeps
+        the conservative write accounting the engines rely on.
+        """
+        if _read_sink is not None:
+            _read_sink.add(self._cell)
+        return self._cell.value
 
     def reset(self) -> None:
         """Restore a deep copy of the initial value."""

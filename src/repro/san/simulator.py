@@ -25,9 +25,11 @@ bit-for-bit reproducible — streams are keyed by activity qualified
 name, the event queue breaks ties by insertion order, and instantaneous
 settling follows a fixed priority order.
 
-Two interchangeable enablement engines implement the policy:
+Two interchangeable enablement engines implement the policy here (the
+framework's default engine, ``compiled``, is the lowered subclass in
+:mod:`repro.san.compiled`):
 
-* **incremental** (the default) — cached enablement with place-level
+* **incremental** (this class's default) — cached enablement with place-level
   invalidation.  Each completion's writes are captured (see
   :mod:`repro.san.places`); only activities whose watched cells changed
   are re-evaluated, via :class:`repro.san.state.EnablementCache`.
@@ -192,15 +194,28 @@ class SANSimulator:
     # -- lifecycle ----------------------------------------------------------
 
     def reset(self, streams: Optional[StreamFactory] = None) -> None:
-        """Restore initial markings, clear events and rewards for a new run."""
+        """Restore initial markings, clear events and rewards for a new run.
+
+        A reset simulator is indistinguishable from a freshly built one,
+        :meth:`stats` included: the event queue (whose counters are
+        lifetime counters) is replaced, and the incremental engine's
+        cache — observed read sets, watcher edges and volatile demotions
+        learned during the previous run — is rebuilt from scratch.
+        """
         self.model.reset()
         self.clock.reset()
-        self._queue.clear()
+        self._queue.clear()  # retire the old handles before dropping them
+        self._queue = EventQueue()
         self._pending.clear()
         self._completions = 0
         self._started = False
         if streams is not None:
             self.streams = streams
+        if self._cache is not None:
+            self._cache = EnablementCache(self.model.activities())
+            self._inst_states = self._cache.states_for(self._instantaneous)
+            self._timed_states = self._cache.states_for(self._timed)
+        self._synced_epoch = -1
         self._bind_streams()
         self.ticks_fired = 0
         self.ticks_fast_forwarded = 0
@@ -208,8 +223,6 @@ class SANSimulator:
             reward.reset()
         for reward in self._impulse_rewards:
             reward.reset()
-        if self._cache is not None:
-            self._cache.invalidate()
         self._own_gate_evaluations = 0
 
     # -- core engine --------------------------------------------------------

@@ -37,6 +37,7 @@ from ..san import (
     Place,
     SANModel,
 )
+from ..san import exprs as E
 from ..schedulers.interface import VCPUStatus
 from .states import (
     PRIORITY_DISPATCH,
@@ -97,14 +98,13 @@ def build_job_scheduler(
 
     # -- Scheduling: dispatch the pending workload to a READY VCPU --------
 
-    def can_dispatch() -> bool:
-        return workload.value is not None and num_ready.tokens > 0
-
     def _ready_indices() -> list:
+        # A read-only scan: peek() keeps it from dirtying every slot (the
+        # chosen slot is marked written by do_dispatch's mutation).
         return [
             i
             for i, slot in enumerate(plugged)
-            if slot.value["status"] == VCPUStatus.READY
+            if slot.peek()["status"] == VCPUStatus.READY
         ]
 
     def _pick() -> int:
@@ -144,23 +144,31 @@ def build_job_scheduler(
         InstantaneousActivity(
             "Scheduling",
             priority=PRIORITY_DISPATCH,
-            input_gates=[InputGate("Scheduling_gate", can_dispatch)],
+            input_gates=[
+                InputGate(
+                    "Scheduling_gate",
+                    expr=(E.field(workload) != E.const(None))
+                    & (E.tokens(num_ready) > 0),
+                )
+            ],
             output_gates=[OutputGate("Dispatch", do_dispatch)],
         )
     )
 
     # -- Unblock: barrier release ------------------------------------------
 
-    def barrier_done() -> bool:
-        if blocked.tokens == 0 or workload.value is not None:
-            return False
-        return all(slot.value["remaining_load"] == 0 for slot in plugged)
+    # Blocked, no pending workload, and every plugged slot drained.
+    barrier_done = E.land(
+        E.tokens(blocked) != 0,
+        E.field(workload) == E.const(None),
+        *[E.field(slot, "remaining_load") == 0 for slot in plugged],
+    )
 
     model.add_activity(
         InstantaneousActivity(
             "Unblock",
             priority=PRIORITY_UNBLOCK,
-            input_gates=[InputGate("Barrier_done", barrier_done)],
+            input_gates=[InputGate("Barrier_done", expr=barrier_done)],
             output_gates=[OutputGate("Clear_blocked", lambda: blocked.remove(blocked.tokens))],
         )
     )

@@ -46,6 +46,7 @@ from ..san import (
     Place,
     SANModel,
 )
+from ..san import exprs as E
 from ..schedulers.interface import VCPUStatus
 from .states import (
     PRIORITY_ACQUIRE,
@@ -106,7 +107,7 @@ def build_vcpu_model(name: str, lock_owner_id: int = 0) -> SANModel:
             "Handle_Schedule_In",
             priority=PRIORITY_APPLY_SCHEDULE_IN,
             input_gates=[
-                InputGate("Has_schedule_in", lambda: schedule_in.tokens > 0)
+                InputGate("Has_schedule_in", expr=E.tokens(schedule_in) > 0)
             ],
             output_gates=[OutputGate("Apply_schedule_in", apply_schedule_in)],
         )
@@ -124,17 +125,24 @@ def build_vcpu_model(name: str, lock_owner_id: int = 0) -> SANModel:
             "Handle_Schedule_Out",
             priority=PRIORITY_APPLY_SCHEDULE_OUT,
             input_gates=[
-                InputGate("Has_schedule_out", lambda: schedule_out.tokens > 0)
+                InputGate("Has_schedule_out", expr=E.tokens(schedule_out) > 0)
             ],
             output_gates=[OutputGate("Apply_schedule_out", apply_schedule_out)],
         )
     )
 
     # -- critical sections (paper §V future-work extension) ---------------
+    #
+    # The gates below are pure token/field tests, so they are IR
+    # expressions (see repro.san.exprs): the engines derive their read
+    # sets and evaluate them without the read-sink protocol.
 
-    def may_process() -> bool:
-        """A critical job only progresses while this VCPU holds the lock."""
-        return slot.value["critical"] == 0 or lock.value == me
+    has_tick = E.tokens(tick) > 0
+    busy = E.field(slot, "status") == VCPUStatus.BUSY
+    critical = E.field(slot, "critical") == 1
+    lock_holder = E.field(lock)
+    # A critical job only progresses while this VCPU holds the lock.
+    may_process = (E.field(slot, "critical") == 0) | (lock_holder == me)
 
     model.add_activity(
         InstantaneousActivity(
@@ -143,9 +151,7 @@ def build_vcpu_model(name: str, lock_owner_id: int = 0) -> SANModel:
             input_gates=[
                 InputGate(
                     "Wants_lock",
-                    lambda: slot.value["status"] == VCPUStatus.BUSY
-                    and slot.value["critical"] == 1
-                    and lock.value is None,
+                    expr=E.land(busy, critical, lock_holder == E.const(None)),
                 )
             ],
             output_gates=[
@@ -161,11 +167,13 @@ def build_vcpu_model(name: str, lock_owner_id: int = 0) -> SANModel:
             input_gates=[
                 InputGate(
                     "Spinning",
-                    lambda: tick.tokens > 0
-                    and slot.value["status"] == VCPUStatus.BUSY
-                    and slot.value["critical"] == 1
-                    and lock.value is not None
-                    and lock.value != me,
+                    expr=E.land(
+                        has_tick,
+                        busy,
+                        critical,
+                        lock_holder != E.const(None),
+                        lock_holder != me,
+                    ),
                 )
             ],
             output_gates=[OutputGate("Spin_gate", _spin(tick, spin_ticks))],
@@ -193,9 +201,7 @@ def build_vcpu_model(name: str, lock_owner_id: int = 0) -> SANModel:
             input_gates=[
                 InputGate(
                     "Busy_with_tick",
-                    lambda: tick.tokens > 0
-                    and slot.value["status"] == VCPUStatus.BUSY
-                    and may_process(),
+                    expr=E.land(has_tick, busy, may_process),
                 )
             ],
             output_gates=[OutputGate("Processing_load_gate", process_one_unit)],
@@ -209,8 +215,7 @@ def build_vcpu_model(name: str, lock_owner_id: int = 0) -> SANModel:
             input_gates=[
                 InputGate(
                     "Idle_with_tick",
-                    lambda: tick.tokens > 0
-                    and slot.value["status"] != VCPUStatus.BUSY,
+                    expr=has_tick & (E.field(slot, "status") != VCPUStatus.BUSY),
                 )
             ],
             output_gates=[OutputGate("Discard_tick_gate", tick.remove)],

@@ -471,7 +471,7 @@ def build_vcpu_scheduler(
             health_entries = health.value if health is not None else None
             debts = hv_debts.value if hv_debts is not None else None
             for g in range(total_vcpus):
-                pcpu_index = pcpu_places[g].value
+                pcpu_index = pcpu_places[g].peek()
                 if pcpu_index is None:
                     tick_places[g].add()
                     continue
@@ -769,9 +769,9 @@ def build_vcpu_scheduler(
 
     def _status_of(g: int) -> str:
         """Hypervisor view of a slot's status (authoritative mid-tick)."""
-        if pcpu_places[g].value is None:
+        if pcpu_places[g].peek() is None:
             return VCPUStatus.INACTIVE
-        if slot_value_places[g].value["remaining_load"] > 0:
+        if slot_value_places[g].peek()["remaining_load"] > 0:
             return VCPUStatus.BUSY
         return VCPUStatus.READY
 
@@ -791,9 +791,15 @@ def build_vcpu_scheduler(
         sched_tick.remove()
         now = float(timestamp.tokens)
 
+        # Steps 1, 2 and 4 only *look* at the extended places, so they
+        # read through peek(): a bare ``.value`` read outside a read sink
+        # counts as a write and would re-stale every gate watching every
+        # slot on every tick.  Mutations (in _deschedule/_assign) keep
+        # going through ``.value``.
+        #
         # 1. Timeslice accounting: expire VCPUs whose tenure ran out.
         for g in range(total_vcpus):
-            if pcpu_places[g].value is None:
+            if pcpu_places[g].peek() is None:
                 continue
             remaining = timeslice_places[g].tokens - 1
             if remaining <= 0:
@@ -805,7 +811,7 @@ def build_vcpu_scheduler(
         views: List[VCPUHostView] = []
         for g in range(total_vcpus):
             vm_id, vcpu_index = slot_map[g]
-            slot = slot_value_places[g].value
+            slot = slot_value_places[g].peek()
             views.append(
                 VCPUHostView(
                     vcpu_id=g,
@@ -814,18 +820,18 @@ def build_vcpu_scheduler(
                     status=_status_of(g),
                     remaining_load=slot["remaining_load"],
                     sync_point=slot["sync_point"],
-                    last_scheduled_in=last_in_places[g].value,
+                    last_scheduled_in=last_in_places[g].peek(),
                     timeslice=timeslice_places[g].tokens,
-                    pcpu=pcpu_places[g].value,
+                    pcpu=pcpu_places[g].peek(),
                 )
             )
         if health is None:
             pcpu_views = [
                 PCPUView(pcpu_id=i, state=entry["state"], vcpu=entry["vcpu"])
-                for i, entry in enumerate(pcpus.value)
+                for i, entry in enumerate(pcpus.peek())
             ]
         else:
-            health_entries = health.value
+            health_entries = health.peek()
             pcpu_views = [
                 PCPUView(
                     pcpu_id=i,
@@ -834,7 +840,7 @@ def build_vcpu_scheduler(
                     health=health_entries[i]["health"],
                     capacity=capacity[health_entries[i]["health"]],
                 )
-                for i, entry in enumerate(pcpus.value)
+                for i, entry in enumerate(pcpus.peek())
             ]
 
         # 3. Call the plugged scheduling function.
@@ -855,7 +861,7 @@ def build_vcpu_scheduler(
         for view in views:
             if not view.schedule_out:
                 continue
-            if pcpu_places[view.vcpu_id].value is None:
+            if pcpu_places[view.vcpu_id].peek() is None:
                 raise SchedulingError(
                     f"{algorithm.name}: schedule_out for VCPU {view.vcpu_id}, "
                     "which holds no PCPU"
@@ -865,7 +871,7 @@ def build_vcpu_scheduler(
             if not view.schedule_in:
                 continue
             g = view.vcpu_id
-            if pcpu_places[g].value is not None:
+            if pcpu_places[g].peek() is not None:
                 raise SchedulingError(
                     f"{algorithm.name}: schedule_in for VCPU {g}, "
                     "which already holds a PCPU"
@@ -875,7 +881,7 @@ def build_vcpu_scheduler(
                 pcpu_index = next(
                     (
                         i
-                        for i, entry in enumerate(pcpus.value)
+                        for i, entry in enumerate(pcpus.peek())
                         if entry["state"] == PCPUState.IDLE
                     ),
                     None,
@@ -891,7 +897,7 @@ def build_vcpu_scheduler(
                         f"{algorithm.name}: VCPU {g} requested PCPU "
                         f"{pcpu_index}, outside 0..{num_pcpus - 1}"
                     )
-                if pcpus.value[pcpu_index]["state"] != PCPUState.IDLE:
+                if pcpus.peek()[pcpu_index]["state"] != PCPUState.IDLE:
                     raise SchedulingError(
                         f"{algorithm.name}: VCPU {g} requested PCPU "
                         f"{pcpu_index}, which is not idle"

@@ -25,6 +25,7 @@ from ..san import (
     Place,
     SANModel,
 )
+from ..san import exprs as E
 from ..workloads.generators import WorkloadModel
 from .states import PRIORITY_GENERATE, new_workload
 
@@ -53,13 +54,6 @@ def build_workload_generator(
     num_ready = model.add_place(Place("Num_VCPUs_ready"))
     num_generated = model.add_place(Place("Num_Generated"))
 
-    def can_generate() -> bool:
-        return (
-            workload.value is None
-            and blocked.tokens == 0
-            and num_ready.tokens > 0
-        )
-
     def wl_output() -> None:
         index = num_generated.tokens
         job = workload_model.next_job(index, rng)
@@ -75,7 +69,16 @@ def build_workload_generator(
         InstantaneousActivity(
             "WL_gen",
             priority=PRIORITY_GENERATE,
-            input_gates=[InputGate("Can_generate", can_generate)],
+            input_gates=[
+                InputGate(
+                    "Can_generate",
+                    expr=E.land(
+                        E.field(workload) == E.const(None),
+                        E.tokens(blocked) == 0,
+                        E.tokens(num_ready) > 0,
+                    ),
+                )
+            ],
             output_gates=[OutputGate("WL_Output", wl_output)],
         )
     )

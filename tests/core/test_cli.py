@@ -333,6 +333,17 @@ class TestTraceAndProfileFlags:
         assert "vmm.scheduling_func" in err
         assert "engine.completion" in err
 
+    def test_default_engine_is_the_library_default(self, spec_file, tmp_path,
+                                                   capsys):
+        # No --engine: the CLI follows resolve_engine(None), both in the
+        # profile summary and in the trace's run.start header.
+        trace = self.run_traced(spec_file, tmp_path, "--profile")
+        err = capsys.readouterr().err
+        assert "engine: compiled (" in err
+        headers = [json.loads(line) for line in open(trace, encoding="utf-8")]
+        starts = [r for r in headers if r["kind"] == "run.start"]
+        assert starts and all(r["engine"] == "compiled" for r in starts)
+
     def test_trace_refuses_parallel_jobs(self, spec_file, tmp_path, capsys):
         assert main(["run", "--spec", spec_file,
                      "--trace", str(tmp_path / "t.jsonl"), "--jobs", "2"]) == 1

@@ -64,6 +64,22 @@ class TestSimulation:
             assert 0.0 <= result.metrics["pcpu_utilization"] <= 1.0
 
 
+    def test_default_engine_is_compiled(self, small_spec):
+        assert Simulation(small_spec).simulator.engine == "compiled"
+        assert Simulation(small_spec, incremental=False).simulator.engine == "rescan"
+
+    def test_rebuilding_a_spec_compiles_no_new_ir_code(self, small_spec):
+        # Generated IR source is memoized by its text: the second build
+        # of one spec (gates, rewards and the compiled engine's fused
+        # conjunctions) adds no compile() call.
+        from repro.san import exprs
+
+        Simulation(small_spec, engine="compiled")
+        misses = exprs._code_for.cache_info().misses
+        Simulation(small_spec, replication=1, engine="compiled")
+        assert exprs._code_for.cache_info().misses == misses
+
+
 class TestBuildSystem:
     def test_returns_inspectable_model(self, small_spec):
         system = build_system(small_spec)

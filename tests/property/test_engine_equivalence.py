@@ -456,6 +456,52 @@ def test_reuse_is_bit_identical_to_fresh_builds(engine):
         assert fresh_run.completions == reused_run.completions
 
 
+def _fig10_specs():
+    """Every Fig-10 configuration (VM sets x sync ratios x schedulers)."""
+    from repro.paper import (
+        FIG9_VM_SETS,
+        FIG10_SYNC_RATIOS,
+        PAPER_PCPUS,
+        PAPER_SCHEDULERS,
+    )
+
+    return [
+        make_spec(topology, PAPER_PCPUS, scheduler=scheduler,
+                  sync_ratio=ratio, sim_time=120, warmup=20)
+        for ratio in FIG10_SYNC_RATIOS
+        for topology in FIG9_VM_SETS.values()
+        for scheduler in PAPER_SCHEDULERS
+    ]
+
+
+@pytest.mark.parametrize("engine", ["compiled", "rescan", "incremental"])
+def test_reused_model_reports_fresh_build_stats(engine):
+    # A cache checkout must be indistinguishable from a fresh build,
+    # Simulation.stats() included: event-queue counters, refresh and
+    # rescan counters, and gate evaluations (learned watcher edges and
+    # observed read sets are rebuilt, not carried over).  The last spec
+    # adds the health stack, whose maintenance trigger is a closure gate
+    # that learns its read set at run time.
+    specs = _fig10_specs() + [
+        dataclasses.replace(small_spec("rcs"), degradation=DEGRADATION,
+                            maintenance=MAINTENANCE)
+    ]
+    clear_model_cache()
+    try:
+        for spec in specs:
+            for rep in range(3):
+                fresh = Simulation(spec, replication=rep, root_seed=3,
+                                   engine=engine)
+                fresh_result = fresh.run()
+                reused = Simulation(spec, replication=rep, root_seed=3,
+                                    engine=engine, reuse=True)
+                reused_result = reused.run()
+                assert reused.stats() == fresh.stats(), (spec.scheduler, rep)
+                assert reused_result.metrics == fresh_result.metrics
+    finally:
+        clear_model_cache()
+
+
 def test_reuse_shares_one_model_per_spec():
     from repro.core import framework
 

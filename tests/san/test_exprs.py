@@ -118,6 +118,18 @@ class TestScalarCompile:
         with pytest.raises(ModelError, match="numeric"):
             E.compile_scalar_rate(E.tokens(p) > 0)
 
+    def test_codegen_is_memoized_by_source(self):
+        # Structurally identical expressions over different places emit
+        # the same source: the second compile reuses the code object,
+        # yet each evaluator still reads its own places.
+        p, q, _ = _places()
+        first = E.compile_scalar_predicate(E.tokens(p) > 2)
+        misses = E._code_for.cache_info().misses
+        second = E.compile_scalar_predicate(E.tokens(q) > 2)
+        assert E._code_for.cache_info().misses == misses
+        p.add(3)
+        assert first() and not second()
+
     def test_predicate_reads_live_marking(self):
         p, q, _ = _places()
         pred = E.compile_scalar_predicate((E.tokens(p) > 0) & (E.tokens(q) == 0))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ModelError, SimulationError
-from repro.san import ExtendedPlace, Marking, Place, share
+from repro.san import ExtendedPlace, Marking, Place, places, share
 
 
 class TestPlace:
@@ -84,6 +84,27 @@ class TestExtendedPlace:
         wl.value = {"load": 5}
         wl.reset()
         assert wl.value is None
+
+    def test_peek_never_counts_as_a_write(self):
+        slot = ExtendedPlace("slot", {"status": "READY"})
+        written = set()
+        before = places.write_epoch()
+        with places.capturing_writes(written):
+            assert slot.peek()["status"] == "READY"
+        assert written == set()
+        assert places.write_epoch() == before
+        # The conservative getter, by contrast, may hand out a mutable
+        # reference and so counts as a potential write.
+        with places.capturing_writes(written):
+            slot.value
+        assert written == {slot._cell}
+
+    def test_peek_records_reads_under_a_read_sink(self):
+        slot = ExtendedPlace("slot", {"status": "READY"})
+        reads = set()
+        with places.tracking_reads(reads):
+            slot.peek()
+        assert reads == {slot._cell}
 
 
 class TestShare:
