@@ -209,9 +209,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(profiler.table(), file=sys.stderr)
         fired = profiler.counters.get("engine.ticks_fired", 0)
         skipped = profiler.counters.get("engine.ticks_fast_forwarded", 0)
+        prefix = "engine.ff_declined."
+        declined = ", ".join(
+            f"{name[len(prefix):]} {count}"
+            for name, count in sorted(profiler.counters.items())
+            if name.startswith(prefix)
+        )
         print(
             f"engine: {resolve_engine(args.engine)} "
-            f"(clock ticks fired {fired}, fast-forwarded {skipped})",
+            f"(clock ticks fired {fired}, fast-forwarded {skipped}"
+            + (f"; fast-forward declined: {declined})" if declined else ")"),
             file=sys.stderr,
         )
     if args.csv:

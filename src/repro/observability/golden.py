@@ -18,10 +18,13 @@ Normalization keeps fixtures stable across unrelated schema growth:
   idle clock ticks into a single ``engine.fastforward`` record instead
   of k ``activity.fire`` records, so its raw trace differs from the
   other engines exactly and only in those engine-internal kinds.  No
-  scheduler-level record can fall inside a coalesced span (fast-forward
-  is only legal while the hypervisor provably makes no decision), so
-  normalized traces — and therefore golden fixtures — are identical
-  across all three engines;
+  *decision* record can fall inside a coalesced span (fast-forward is
+  only legal while the hypervisor provably makes no decision); the one
+  scheduler-level kind a decision-free call emits, rcs's per-tick
+  ``sched.skew``, is re-emitted for every skipped tick by the
+  algorithm's ``skip_ticks`` at that tick's time, after the span's
+  ``engine.fastforward`` record.  So normalized traces — and therefore
+  golden fixtures — are identical across all four engines;
 * each kind is projected onto its :data:`GOLDEN_SCHEMA` field list, so
   *adding* a record field or a new record kind later never breaks a
   fixture, while changing or removing an asserted field does.

@@ -31,9 +31,10 @@ On top of the lowered form the engine implements **clock-tick
 fast-forward** for models that publish a ``tick_fast_forward`` spec
 (see :class:`repro.vmm.vcpu_scheduler.ClockFastForward`): when the
 model certifies that the next ``k`` ticks of its deterministic clock
-are pure countdown — every PCPU assigned, every running VCPU burning
-load outside critical sections, timeslices and loads at least ``k``
-from expiry — and no other timed event intervenes, the engine fires the
+are pure countdown — every PCPU assigned, every holder burning load
+(or idling READY) outside critical sections, timeslices and loads at
+least ``k`` from expiry, and the plugged algorithm's skip horizon at
+least ``k`` — and no other timed event intervenes, the engine fires the
 clock ``k`` times in closed form: rewards accumulate per unit interval
 with the (provably constant) rate evaluated once, markings receive the
 net arithmetic update, the completion counter advances by the exact
@@ -42,8 +43,9 @@ model time it would have reached step by step.  No random stream is
 touched (the clock is deterministic and every skipped activity has a
 single case), so the sample path — and every reward metric — is
 bit-for-bit identical to the other engines.  Traces coalesce the
-skipped ticks into one ``engine.fastforward`` record; golden
-normalization already projects those away (see
+skipped ticks into one ``engine.fastforward`` record, followed by any
+per-tick scheduler records the algorithm re-emits for the span; golden
+normalization projects the engine records away (see
 :mod:`repro.observability.golden`).
 """
 
@@ -216,6 +218,8 @@ class CompiledSANSimulator(SANSimulator):
         self._bind_compiled_rows()
         # Clock fast-forward: the model publishes the spec (or not).
         spec = getattr(self.model, "tick_fast_forward", None)
+        if spec is not None:
+            spec.reset()
         self._ff_spec = spec
         self._tick_activity = spec.clock if spec is not None else None
         self._tick_key = (
@@ -258,6 +262,8 @@ class CompiledSANSimulator(SANSimulator):
         stats = super().stats()
         stats["enablement_refreshes"] = self.refreshes
         stats["watched_cells"] = len(self._watchers)
+        if self._ff_spec is not None:
+            stats["fast_forward_declines"] = dict(self._ff_spec.declines)
         return stats
 
     def reset(self, streams: Optional[StreamFactory] = None) -> None:
@@ -273,6 +279,8 @@ class CompiledSANSimulator(SANSimulator):
         self._act_cells = [set(cells) for cells in act_cells]
         self._always_inst = list(always_inst)
         self._always_timed = list(always_timed)
+        if self._ff_spec is not None:
+            self._ff_spec.reset()
 
     # -- enablement refresh --------------------------------------------------
 
@@ -519,9 +527,10 @@ class CompiledSANSimulator(SANSimulator):
         tick ``j`` still wins its tie-break against the re-scheduled
         clock, exactly as step-by-step, because the fresh clock event
         always carries the younger sequence number), and the model's
-        own certificate :meth:`max_skip` (evaluated under a read sink:
-        pure observation).  Fast-forwarding fewer than 2 ticks buys
-        nothing, so the ordinary step runs instead.
+        own certificate :meth:`max_skip`, capped by the first two
+        (evaluated under a read sink: pure observation).
+        Fast-forwarding fewer than 2 ticks buys nothing, so the
+        ordinary step runs instead.
         """
         t_first = head.time
         k = math.ceil(until - t_first + 1.0) - 1
@@ -541,7 +550,7 @@ class CompiledSANSimulator(SANSimulator):
         previous = _places._read_sink
         _places._read_sink = self._ff_reads
         try:
-            model_bound = spec.max_skip()
+            model_bound = spec.max_skip(k)
         finally:
             _places._read_sink = previous
         self._ff_reads.clear()
@@ -555,18 +564,9 @@ class CompiledSANSimulator(SANSimulator):
         self._advance_rewards(t_first)
         self._advance_rewards_constant(t_first, k - 1)
         self.clock.advance_to(t_first + (k - 1))
-        written = self._written
-        previous = _places._dirty_sink
-        _places._dirty_sink = written
-        try:
-            spec.apply(k)
-        finally:
-            _places._dirty_sink = previous
-            self._mark_stale(written)
         skipped_completions = k * spec.per_tick_completions
-        self._completions += skipped_completions
-        self.ticks_fast_forwarded += k
-        pending[self._tick_key] = self._queue.schedule(t_first + k, event.payload)
+        # The span record goes first: apply() lets the algorithm emit
+        # the per-tick records (rcs's sched.skew) of the ticks it skips.
         tracer = _trace._ACTIVE
         if tracer is not None:
             tracer.emit(
@@ -575,6 +575,17 @@ class CompiledSANSimulator(SANSimulator):
                 ticks=k,
                 completions=skipped_completions,
             )
+        written = self._written
+        previous = _places._dirty_sink
+        _places._dirty_sink = written
+        try:
+            spec.apply(k)
+        finally:
+            _places._dirty_sink = previous
+            self._mark_stale(written)
+        self._completions += skipped_completions
+        self.ticks_fast_forwarded += k
+        pending[self._tick_key] = self._queue.schedule(t_first + k, event.payload)
         return k
 
     def _advance_rewards_constant(self, start: float, steps: int) -> None:
@@ -604,6 +615,7 @@ class CompiledSANSimulator(SANSimulator):
             )
         fired_before = self.ticks_fired
         skipped_before = self.ticks_fast_forwarded
+        declines_before = self._declines_snapshot()
         self._sync_in()
         eval_base = _gates._EVALUATIONS
         try:
@@ -638,7 +650,21 @@ class CompiledSANSimulator(SANSimulator):
                     "engine.ticks_fast_forwarded",
                     self.ticks_fast_forwarded - skipped_before,
                 )
+                self._count_declines(profiler, declines_before)
             self._sync_out()
+
+    def _declines_snapshot(self) -> Dict[str, int]:
+        spec = self._ff_spec
+        return dict(spec.declines) if spec is not None else {}
+
+    def _count_declines(self, profiler, before: Dict[str, int]) -> None:
+        """Add this run's fast-forward declines to the profiler counters."""
+        if self._ff_spec is None:
+            return
+        for reason, count in self._ff_spec.declines.items():
+            delta = count - before.get(reason, 0)
+            if delta:
+                profiler.count("engine.ff_declined." + reason, delta)
 
 
 # -- replication-batched execution --------------------------------------------
@@ -716,6 +742,7 @@ class BatchCompiledSANSimulator(CompiledSANSimulator):
             )
         self._lane_fired_before = self.ticks_fired
         self._lane_skipped_before = self.ticks_fast_forwarded
+        self._lane_declines_before = self._declines_snapshot()
         self._sync_in()
         base = _gates._EVALUATIONS
         try:
@@ -780,6 +807,7 @@ class BatchCompiledSANSimulator(CompiledSANSimulator):
                 "engine.ticks_fast_forwarded",
                 self.ticks_fast_forwarded - self._lane_skipped_before,
             )
+            self._count_declines(profiler, self._lane_declines_before)
         self._sync_out()
 
 

@@ -61,6 +61,11 @@ class BalanceScheduler(SchedulingAlgorithm):
             candidates = list(range(num_pcpu))
         return min(candidates, key=lambda p: (len(self._runqueues[p]), p))
 
+    def tick_skip_horizon(self, running, idle, vm_of, now, limit) -> int:
+        # Queues change on inactive VCPUs and idle PCPUs only; a READY
+        # holder is neither, so it is as inert as a BUSY one.
+        return limit
+
     def schedule(
         self,
         vcpus: List[VCPUHostView],

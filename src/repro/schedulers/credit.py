@@ -64,6 +64,11 @@ class CreditScheduler(SchedulingAlgorithm):
         """Accumulated weighted service of one VCPU (probe for tests)."""
         return self._vtime.get(vcpu_id, 0.0)
 
+    def tick_skip_horizon(self, running, idle, vm_of, now, limit) -> int:
+        # With no free PCPU schedule() returns first thing, whatever the
+        # holders' status, so READY holders are as inert as BUSY ones.
+        return limit
+
     def schedule(
         self,
         vcpus: List[VCPUHostView],

@@ -160,6 +160,71 @@ class SchedulerHarness:
         for _ in range(ticks):
             self.tick()
 
+    # -- clock-tick fast-forward ----------------------------------------------
+
+    def skip_bound(self) -> int:
+        """Ticks of pure countdown ahead, before asking the algorithm.
+
+        The same certificate the SAN engine checks (see
+        :class:`repro.vmm.vcpu_scheduler.ClockFastForward`): every PCPU
+        assigned, and no timeslice expiring or load finishing inside
+        the span — a BUSY holder allows ``min(load, timeslice) - 1``
+        ticks, a READY holder ``timeslice - 1``.  0 when any fails.
+        """
+        if any(p.state != PCPUState.ASSIGNED for p in self.pcpus):
+            return 0
+        bound = None
+        for view in self.views:
+            if view.pcpu is None:
+                continue
+            room = view.timeslice - 1
+            if view.remaining_load > 0:
+                room = min(room, view.remaining_load - 1)
+            if bound is None or room < bound:
+                bound = room
+        return max(bound or 0, 0)
+
+    def _skip_args(self):
+        running = [v.vcpu_id for v in self.views if v.status == VCPUStatus.BUSY]
+        idle = [v.vcpu_id for v in self.views if v.status == VCPUStatus.READY]
+        vm_of = [v.vm_id for v in self.views]
+        return running, idle, vm_of, self.now + 1.0
+
+    def skip_horizon(self) -> int:
+        """Ticks the algorithm grants over :meth:`skip_bound` (0 = none)."""
+        bound = self.skip_bound()
+        if bound < 1:
+            return 0
+        return self.algorithm.tick_skip_horizon(*self._skip_args(), bound)
+
+    def skip(self, k: int) -> None:
+        """Advance ``k`` certified ticks in closed form.
+
+        Equivalent to ``k`` calls of :meth:`tick` when ``k`` is at most
+        :meth:`skip_horizon`: counters and countdowns move arithmetically
+        and the algorithm commits its own state with ``skip_ticks``.
+        """
+        if k < 1:
+            return
+        running, idle, vm_of, now = self._skip_args()
+        for _ in range(k):
+            self.now += 1.0
+        for view in self.views:
+            view.schedule_in = False
+            view.schedule_out = False
+            view.next_timeslice = None
+            view.next_pcpu = None
+            if view.pcpu is None:
+                continue
+            view.timeslice -= k
+            self.active_time[view.vcpu_id] += k
+            self.pcpu_busy_time[view.pcpu] += k
+            if self._loads[view.vcpu_id] > 0:
+                self._loads[view.vcpu_id] -= k
+                self.busy_time[view.vcpu_id] += k
+            self._refresh_status(view)
+        self.algorithm.skip_ticks(k, running, idle, vm_of, now)
+
     # -- internals -----------------------------------------------------------
 
     def _refresh_status(self, view: VCPUHostView) -> None:

@@ -39,9 +39,12 @@ class HealthAwareScheduler(SchedulingAlgorithm):
         timeslice: default timeslice, forwarded to a named inner.
         **inner_params: extra constructor params for a named inner.
 
-    The wrapper inherits the inner algorithm's ``tick_skip_safe``
-    certificate: in a certified marking the inner makes no schedule-in,
-    so the wrapper's post-pass is a no-op and coalescing stays sound.
+    The wrapper forwards the inner algorithm's fast-forward hooks
+    (``tick_skip_horizon`` / ``skip_ticks``, and its ``tick_skip_safe``
+    flag): over a certified span the inner makes no schedule-in, so the
+    wrapper's post-pass is a no-op and coalescing stays sound.  The
+    span also requires pristine health, where the healthiest free core
+    is the first free one anyway.
     """
 
     name = "health_aware"
@@ -78,6 +81,12 @@ class HealthAwareScheduler(SchedulingAlgorithm):
     def reset(self) -> None:
         super().reset()
         self.inner.reset()
+
+    def tick_skip_horizon(self, running, idle, vm_of, now, limit) -> int:
+        return self.inner.tick_skip_horizon(running, idle, vm_of, now, limit)
+
+    def skip_ticks(self, k, running, idle, vm_of, now) -> None:
+        self.inner.skip_ticks(k, running, idle, vm_of, now)
 
     def schedule(
         self,

@@ -73,6 +73,11 @@ class HybridScheduler(SchedulingAlgorithm):
             + self.timeslice / self._weight(view.vm_id)
         )
 
+    def tick_skip_horizon(self, running, idle, vm_of, now, limit) -> int:
+        # Gangs and candidates are judged on active/inactive only, and a
+        # READY holder is active, so READY holders are as inert as BUSY.
+        return limit
+
     def schedule(
         self,
         vcpus: List[VCPUHostView],

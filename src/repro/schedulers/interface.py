@@ -31,7 +31,7 @@ Decision protocol (per hypervisor clock tick):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..errors import SchedulingError
 
@@ -148,16 +148,18 @@ class SchedulingAlgorithm:
         name: registry key; subclasses override.
         timeslice: default timeslice (ticks) granted on schedule_in when
             the algorithm does not set ``next_timeslice``.
-        tick_skip_safe: a subclass sets this True to certify that its
-            ``schedule()`` makes no decision and mutates no internal
-            state on a tick where every PCPU is ASSIGNED and every
-            assigned VCPU is BUSY — the precondition under which the
-            compiled engine may coalesce clock ticks (see
-            :class:`repro.vmm.vcpu_scheduler.ClockFastForward`).
-            Algorithms that do per-tick bookkeeping regardless of the
-            marking (e.g. deadline rollover, skew accounting) must
-            leave it False; wrappers that do not re-declare the flag
-            (guard, chaos) disable fast-forward automatically.
+        tick_skip_safe: the one-line fast-forward opt-in.  A subclass
+            sets it True to certify that ``schedule()`` decides nothing
+            and changes no internal state on a tick where every PCPU is
+            ASSIGNED and every assigned VCPU is BUSY; the default
+            :meth:`tick_skip_horizon` then grants the whole span it is
+            offered whenever no PCPU holder is READY.  Algorithms that
+            do per-tick bookkeeping (deadline rollover, skew accounting)
+            leave it False and either stay off fast-forward or override
+            the horizon hook with an exact replay of that bookkeeping
+            (see :class:`~repro.schedulers.relaxed_co.RelaxedCoScheduler`).
+            Wrappers that override neither (guard, chaos) disable
+            fast-forward automatically.
     """
 
     name = "abstract"
@@ -197,6 +199,62 @@ class SchedulingAlgorithm:
         """
         self._dispatch_order.clear()
         self._dispatch_counter = 0
+
+    # -- clock-tick fast-forward ------------------------------------------
+
+    def tick_skip_horizon(
+        self,
+        running: Sequence[int],
+        idle: Sequence[int],
+        vm_of: Sequence[int],
+        now: float,
+        limit: int,
+    ) -> int:
+        """How many calls from ``now`` on provably decide nothing.
+
+        The compiled engine asks this before it fires a run of clock
+        ticks in closed form (see
+        :class:`repro.vmm.vcpu_scheduler.ClockFastForward`).  The caller
+        guarantees that for each of the next ``limit`` calls, at
+        timestamps ``now``, ``now + 1``, ...:
+
+        * every PCPU is ASSIGNED, at pristine health;
+        * the VCPUs holding a PCPU are exactly ``running`` (BUSY) plus
+          ``idle`` (READY), every other VCPU is INACTIVE, and none of
+          these statuses changes;
+        * no timeslice expires before the call.
+
+        ``vm_of[v]`` is VCPU ``v``'s VM id for every VCPU in the view
+        array, in array order.  The answer ``h`` (``0 <= h <= limit``)
+        must be *sound*: the first ``h`` calls would make no decision,
+        and :meth:`skip_ticks` with ``k <= h`` reproduces exactly the
+        internal state change of ``k`` such calls.  It need not be
+        tight, but an exact horizon (``h < limit`` only when call
+        ``h + 1`` decides) skips the most.
+
+        The default grants the whole span to algorithms that declare
+        ``tick_skip_safe`` — but only while no holder is READY, since
+        some algorithms (FIFO) release READY holders.  Algorithms for
+        which READY holders are as inert as BUSY ones override this.
+        """
+        return limit if self.tick_skip_safe and not idle else 0
+
+    def skip_ticks(
+        self,
+        k: int,
+        running: Sequence[int],
+        idle: Sequence[int],
+        vm_of: Sequence[int],
+        now: float,
+    ) -> None:
+        """Apply the internal state change of ``k`` decision-free calls.
+
+        Called with the arguments of the :meth:`tick_skip_horizon` call
+        that granted at least ``k`` ticks.  The result must equal, under
+        ``==``, the state after ``k`` ordinary ``schedule()`` calls at
+        timestamps ``now .. now + k - 1`` — trace records included.
+        Algorithms whose certified calls change nothing keep this no-op.
+        """
 
     # -- shared helpers for concrete algorithms ---------------------------
 

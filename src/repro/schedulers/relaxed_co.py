@@ -27,11 +27,14 @@ paper the ICDCSW paper cites):
 
 The algorithm tracks progress itself (it is invoked every clock tick,
 like the paper's C function), so it needs no framework support beyond
-the standard view arrays.
+the standard view arrays.  When the compiled engine coalesces idle
+ticks, :meth:`RelaxedCoScheduler.skip_ticks` replays exactly the
+bookkeeping those calls would have done.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Dict, List, Optional
 
@@ -115,6 +118,136 @@ class RelaxedCoScheduler(SchedulingAlgorithm):
         target = next(v for v in vcpus if v.vcpu_id == vcpu_id)
         siblings = [v for v in vcpus if v.vm_id == target.vm_id]
         return self._lags(siblings)[vcpu_id]
+
+    # -- clock-tick fast-forward --------------------------------------------
+
+    def tick_skip_horizon(self, running, idle, vm_of, now, limit) -> int:
+        """Exact: the calls left before the first leader would be stopped.
+
+        While every PCPU is held and nothing expires, a call only
+        credits progress, maintains catch-up mode and — the one
+        decision it can make — co-stops an *active* leader of a VM in
+        catch-up.  Dispatch finds no free PCPU, and admission is a
+        no-op once every inactive VCPU is queued.  The horizon replays
+        the skew bookkeeping forward on plain numbers (catch-up entry
+        and exit included: they decide nothing) and stops at the first
+        call that would co-stop.
+        """
+        holders = set(running)
+        holders.update(idle)
+        last = self._last_timestamp
+        # The replay credits exactly 1.0 per call, so the next call must
+        # come one integral tick after the last one; and admission must
+        # have nothing to do (every inactive VCPU already queued).
+        if last is None or now - last != 1.0 or not float(now).is_integer():
+            return 0
+        queued = self._queued
+        for vcpu_id in range(len(vm_of)):
+            if vcpu_id not in holders and vcpu_id not in queued:
+                return 0
+        return self._replay(limit, holders, vm_of, now, commit=False)
+
+    def skip_ticks(self, k, running, idle, vm_of, now) -> None:
+        """Commit ``k`` certified calls: progress, catch-up, clock, trace."""
+        if k > 0:
+            holders = set(running)
+            holders.update(idle)
+            self._replay(k, holders, vm_of, now, commit=True)
+
+    def _replay(self, ticks, holders, vm_of, now, commit) -> int:
+        """Replay ``ticks`` calls' skew bookkeeping; see the hook.
+
+        VMs are independent, so each is replayed on its own, in O(1)
+        per call: after the first call every holder gains 1.0 per call
+        and every other sibling stands still, so the furthest-ahead and
+        slowest sibling follow from the running extremes of the two
+        groups.  Rounding is monotone, so these extremes (and the lag
+        and lead they give) are bit-for-bit the values :meth:`schedule`
+        computes sibling by sibling.
+
+        Returns the index of the first call that would co-stop, or
+        ``ticks`` when none would.  With ``commit`` the progress,
+        catch-up set, ``_was_active`` and ``_last_timestamp`` are
+        updated in place and the per-call ``sched.skew`` records are
+        emitted, exactly as :meth:`schedule` would.
+        """
+        progress = self._progress
+        # Pitfall: the first call credits the holders seen by the
+        # *previous* call (before its decisions applied), not the
+        # current ones.
+        credited = self._was_active
+        skew, relax = self.skew_threshold, self.relax_threshold
+        groups: Dict[int, List[int]] = {}
+        for vcpu_id, vm_id in enumerate(vm_of):
+            groups.setdefault(vm_id, []).append(vcpu_id)
+        tracer = _trace._ACTIVE if commit else None
+        lag_rows: List[tuple] = []  # (vm_id, [(max_lag, catching_up)] per call)
+        catching_after: Dict[int, bool] = {}
+        horizon = ticks
+        for vm_id, ids in groups.items():
+            if len(ids) < 2:
+                continue
+            moving: List[float] = []
+            still: List[float] = []
+            for vcpu_id in ids:
+                p = progress.get(vcpu_id, 0.0)
+                if vcpu_id in credited:
+                    p += 1.0
+                (moving if vcpu_id in holders else still).append(p)
+            hi_moving = max(moving) if moving else -math.inf
+            lo_moving = min(moving) if moving else math.inf
+            hi_still = max(still) if still else -math.inf
+            lo_still = min(still) if still else math.inf
+            catching = vm_id in self._catching_up
+            rows: List[tuple] = []
+            for tick in range(horizon):
+                if tick:
+                    hi_moving += 1.0
+                    lo_moving += 1.0
+                slowest = lo_moving if lo_moving < lo_still else lo_still
+                front = hi_moving if hi_moving > hi_still else hi_still
+                max_lag = front - slowest
+                if tracer is not None:
+                    rows.append((max_lag, catching))
+                if catching:
+                    if max_lag < relax:
+                        catching = False
+                elif max_lag > skew:
+                    catching = True
+                if catching and hi_moving - slowest > relax:
+                    if commit:
+                        raise SchedulingError(
+                            f"rcs: skip_ticks({ticks}) crosses a co-stop in "
+                            f"VM {vm_id} at t={now + tick}"
+                        )
+                    horizon = tick
+                    break
+            lag_rows.append((vm_id, rows))
+            catching_after[vm_id] = catching
+        if not commit:
+            return horizon
+        for vcpu_id in credited:
+            progress[vcpu_id] = progress.get(vcpu_id, 0.0) + 1.0
+        if ticks > 1:
+            for vcpu_id in holders:
+                p = progress.get(vcpu_id, 0.0)
+                for _ in range(ticks - 1):
+                    p += 1.0
+                progress[vcpu_id] = p
+        for vm_id, catching in catching_after.items():
+            if catching:
+                self._catching_up.add(vm_id)
+            else:
+                self._catching_up.discard(vm_id)
+        if tracer is not None:
+            for tick in range(ticks):
+                for vm_id, rows in lag_rows:
+                    max_lag, catching = rows[tick]
+                    tracer.emit(_trace.SCHED_SKEW, time=now + tick, vm=vm_id,
+                                max_lag=max_lag, catching_up=catching)
+        self._was_active = holders
+        self._last_timestamp = now + (ticks - 1)
+        return ticks
 
     # -- the scheduling function --------------------------------------------
 

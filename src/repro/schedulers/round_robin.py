@@ -45,6 +45,11 @@ class RoundRobinScheduler(SchedulingAlgorithm):
         self._queue.clear()
         self._queued.clear()
 
+    def tick_skip_horizon(self, running, idle, vm_of, now, limit) -> int:
+        # A READY holder keeps its PCPU like a BUSY one: RRS only looks
+        # at who is inactive and which PCPUs are free, so it is as inert.
+        return limit
+
     def schedule(
         self,
         vcpus: List[VCPUHostView],

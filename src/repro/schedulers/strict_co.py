@@ -55,6 +55,11 @@ class StrictCoScheduler(SchedulingAlgorithm):
         self._vm_order.clear()
         self._vm_counter = 0
 
+    def tick_skip_horizon(self, running, idle, vm_of, now, limit) -> int:
+        # Gangs are judged only on active/inactive, and a READY holder is
+        # active: co-stop, admission and dispatch stay no-ops with it too.
+        return limit
+
     def schedule(
         self,
         vcpus: List[VCPUHostView],

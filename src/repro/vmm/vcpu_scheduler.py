@@ -130,32 +130,55 @@ class ClockFastForward:
     timeslices/remaining loads, and the plugged algorithm provably
     decides nothing.  That holds exactly when:
 
-    * the algorithm class declares ``tick_skip_safe`` — its
-      ``schedule()`` is a no-op whenever every PCPU is assigned and
-      every assigned VCPU is BUSY (resolved through
-      ``model.algorithm``, so guard/chaos wrappers — which do not
-      declare the flag — automatically disable fast-forward);
     * every PCPU is ASSIGNED (no idle PCPU an algorithm could fill, no
       FAILED PCPU mid-repair);
-    * every assigned slot is BUSY outside its critical section, and no
-      non-assigned slot is BUSY (so each slot's tick consumer is fixed
-      for the whole span: ``Processing_load`` for assigned slots,
-      ``Discard_tick`` otherwise);
+    * every assigned slot is BUSY or READY outside its critical
+      section, and no non-assigned slot is BUSY.  Each slot's tick
+      consumer is then fixed for the whole span: ``Processing_load``
+      for BUSY holders, ``Discard_tick`` for READY holders and for
+      slots without a PCPU.  A READY holder stays READY: it idles at
+      its VM's barrier, which cannot release while a sibling still has
+      load, and job arrivals are timed events that bound the span;
     * no timeslice expires and no load completes strictly inside the
-      span — the returned bound is the smallest distance to either;
+      span — a BUSY holder bounds it by ``min(load, timeslice) - 1``,
+      a READY holder by ``timeslice - 1``;
     * no degradation-layer state can change delivery inside the span:
       every PCPU is at pristine health with no maintenance pending and
       no hypervisor-overhead debt outstanding.  A degraded core
       withholds ticks data-dependently (the leaky-bucket accumulator),
       so any nonzero health disables coalescing outright; *pending*
       degradation/maintenance timed events need no check here — the
-      engine already bounds spans by the earliest other pending event.
+      engine already bounds spans by the earliest other pending event;
+    * the plugged algorithm (resolved through ``model.algorithm``, so
+      a swapped-in guard or chaos wrapper is the one asked) grants the
+      span: :meth:`SchedulingAlgorithm.tick_skip_horizon
+      <repro.schedulers.interface.SchedulingAlgorithm.tick_skip_horizon>`
+      receives the BUSY holders as ``running`` and the READY holders
+      as ``idle`` and answers how many of the calls it provably decides
+      nothing in.
 
     Under those conditions every per-tick firing has a single case (no
     RNG draw) and the span's net marking change is arithmetic:
     :meth:`apply` performs it through the ordinary place APIs so the
-    engine's dirty tracking sees every write.
+    engine's dirty tracking sees every write, then lets the algorithm
+    commit its own state change (``skip_ticks``).
+
+    :attr:`declines` counts each refusal by its first failing
+    condition — ``pcpu_not_assigned``, ``health`` (degraded core,
+    pending maintenance or hypervisor debt), ``critical``,
+    ``not_busy`` (a holder neither BUSY nor READY, or a BUSY slot with
+    no PCPU), ``bound`` (a timeslice or load ends within two ticks) and
+    ``algorithm`` (the horizon was under two ticks).
     """
+
+    DECLINE_REASONS = (
+        "algorithm",
+        "pcpu_not_assigned",
+        "health",
+        "critical",
+        "not_busy",
+        "bound",
+    )
 
     __slots__ = (
         "_model",
@@ -167,8 +190,12 @@ class ClockFastForward:
         "_health",
         "_hv_debts",
         "_total",
-        "_span",
+        "_vm_of",
+        "_running",
+        "_idle",
+        "_now",
         "clock",
+        "declines",
         "per_tick_completions",
     )
 
@@ -181,10 +208,11 @@ class ClockFastForward:
         slot_value_places: Sequence[ExtendedPlace],
         timeslice_places: Sequence[Place],
         pcpu_places: Sequence[ExtendedPlace],
-        total_vcpus: int,
+        vm_of: Sequence[int],
         health: Optional[ExtendedPlace] = None,
         hv_debts: Optional[ExtendedPlace] = None,
     ) -> None:
+        total_vcpus = len(vm_of)
         self._model = model
         #: The Clock activity *object* — the engine matches the queue
         #: head by identity, which survives Join re-qualification.
@@ -197,70 +225,109 @@ class ClockFastForward:
         self._health = health
         self._hv_debts = hv_debts
         self._total = total_vcpus
+        #: VM id per plugged slot, the algorithm hook's ``vm_of``.
+        self._vm_of = tuple(vm_of)
         #: Completions per coalesced tick: Clock + Scheduling_Func +
         #: exactly one tick consumer per plugged slot.
         self.per_tick_completions = total_vcpus + 2
-        self._span: List[int] = []
+        self._running: List[int] = []
+        self._idle: List[int] = []
+        self._now = 0.0
+        self.declines: Dict[str, int] = {}
+        self.reset()
 
-    def max_skip(self) -> int:
+    def reset(self) -> None:
+        """Zero the decline counters (a fresh replication)."""
+        self.declines = dict.fromkeys(self.DECLINE_REASONS, 0)
+
+    def _decline(self, reason: str) -> int:
+        self.declines[reason] += 1
+        return 0
+
+    def max_skip(self, limit: Optional[int] = None) -> int:
         """Ticks certifiably skippable from the current marking (0 = none).
 
+        ``limit`` caps the answer (the engine passes the span its own
+        bounds allow, so the algorithm replays no further than needed).
         Called at quiescence under a read sink, so the extended-place
         reads below are pure observation.  Also records which slots are
-        burning load, for :meth:`apply`.
+        burning load or idling on a PCPU, for :meth:`apply`.
         """
-        if not getattr(self._model.algorithm, "tick_skip_safe", False):
-            return 0
+        algorithm = self._model.algorithm
+        if not algorithm.tick_skip_safe and (
+            type(algorithm).tick_skip_horizon
+            is SchedulingAlgorithm.tick_skip_horizon
+        ):
+            # The default hook refuses every span: skip the scan.
+            return self._decline("algorithm")
         for entry in self._pcpus.value:
             if entry["state"] != PCPUState.ASSIGNED:
-                return 0
+                return self._decline("pcpu_not_assigned")
         if self._health is not None:
             for entry in self._health.value:
                 if entry["health"] or entry["maint"] or entry["due"]:
-                    return 0
+                    return self._decline("health")
         if self._hv_debts is not None:
             for debt in self._hv_debts.value:
                 if debt:
-                    return 0
-        span = self._span
-        del span[:]
-        bound: Optional[int] = None
+                    return self._decline("health")
+        running = self._running
+        idle = self._idle
+        del running[:]
+        del idle[:]
+        bound = limit
         for g in range(self._total):
             slot = self._slot_values[g].value
             if slot["critical"]:
-                return 0
-            busy = slot["status"] == VCPUStatus.BUSY
+                return self._decline("critical")
+            status = slot["status"]
             if self._pcpu_refs[g].value is None:
-                if busy:
+                if status == VCPUStatus.BUSY:
                     # A BUSY slot without a PCPU would burn load it was
                     # never granted time for — only a transient state;
                     # never certify it.
-                    return 0
+                    return self._decline("not_busy")
                 continue
-            if not busy:
-                return 0
-            room = min(slot["remaining_load"], self._timeslices[g].tokens) - 1
+            if status == VCPUStatus.BUSY:
+                room = min(slot["remaining_load"], self._timeslices[g].tokens) - 1
+                running.append(g)
+            elif status == VCPUStatus.READY:
+                room = self._timeslices[g].tokens - 1
+                idle.append(g)
+            else:
+                return self._decline("not_busy")
             if bound is None or room < bound:
                 bound = room
-            span.append(g)
-        if bound is None or bound < 1:
-            return 0
-        return bound
+        if bound is None or bound < 2:
+            return self._decline("bound")
+        self._now = float(self._timestamp.tokens + 1)
+        horizon = algorithm.tick_skip_horizon(
+            running, idle, self._vm_of, self._now, bound
+        )
+        if horizon < 2:
+            return self._decline("algorithm")
+        return min(horizon, bound)
 
     def apply(self, k: int) -> None:
         """Net marking change of ``k`` countdown ticks.
 
-        Per tick: ``Timestamp`` gains a token (Clock), every burning
-        slot's timeslice drops by one (Scheduling_Func accounting) and
-        its remaining load drops by one (Processing_load).  Tick and
-        Sched_tick tokens are deposited and consumed within each tick,
-        so their net change is zero.
+        Per tick: ``Timestamp`` gains a token (Clock), every holder's
+        timeslice drops by one (Scheduling_Func accounting) and every
+        BUSY holder's remaining load drops by one (Processing_load;
+        READY holders discard their tick).  Tick and Sched_tick tokens
+        are deposited and consumed within each tick, so their net
+        change is zero.  The algorithm then commits its own ``k`` calls.
         """
         self._timestamp.add(k)
-        for g in self._span:
+        for g in self._running:
             self._timeslices[g].remove(k)
             slot = self._slot_values[g].value  # mutable ref: marks the cell written
             slot["remaining_load"] -= k
+        for g in self._idle:
+            self._timeslices[g].remove(k)
+        self._model.algorithm.skip_ticks(
+            k, self._running, self._idle, self._vm_of, self._now
+        )
 
 
 def slot_places(index: int) -> Dict[str, str]:
@@ -468,20 +535,24 @@ def build_vcpu_scheduler(
 
         def tick_fanout() -> None:
             timestamp.add()
-            health_entries = health.value if health is not None else None
-            debts = hv_debts.value if hv_debts is not None else None
+            # Looks go through peek(); only a real change (a burned
+            # debt, a degraded core's bucket) goes through ``.value`` and
+            # marks its cell written, so a pristine, debt-free tick does
+            # not re-stale every gate watching the health records.
+            health_entries = health.peek() if health is not None else None
+            debts = hv_debts.peek() if hv_debts is not None else None
             for g in range(total_vcpus):
                 pcpu_index = pcpu_places[g].peek()
                 if pcpu_index is None:
                     tick_places[g].add()
                     continue
                 if debts is not None and debts[g] > 0:
-                    debts[g] -= 1
+                    hv_debts.value[g] -= 1
                     continue
                 if health_entries is not None:
-                    entry = health_entries[pcpu_index]
-                    h = entry["health"]
+                    h = health_entries[pcpu_index]["health"]
                     if h:
+                        entry = health.value[pcpu_index]
                         acc = entry["acc"] + capacity[h]
                         if acc < 1.0:
                             entry["acc"] = acc
@@ -942,7 +1013,7 @@ def build_vcpu_scheduler(
         slot_value_places,
         timeslice_places,
         pcpu_places,
-        total_vcpus,
+        [vm_id for vm_id, _ in slot_map],
         health=health,
         hv_debts=hv_debts,
     )

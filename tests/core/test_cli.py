@@ -344,6 +344,25 @@ class TestTraceAndProfileFlags:
         starts = [r for r in headers if r["kind"] == "run.start"]
         assert starts and all(r["engine"] == "compiled" for r in starts)
 
+    def test_profile_counts_fast_forward_declines_without_changing_output(
+            self, tmp_path, capsys):
+        # rcs on the default engine: the profile line names why spans
+        # were declined, and neither the counters nor a trace change a
+        # byte of the --csv output.
+        path = tmp_path / "rcs.json"
+        path.write_text(json.dumps(dict(self.SMP_SPEC, scheduler="rcs")))
+        base = ["run", "--spec", str(path), "--csv",
+                "--min-replications", "2", "--max-replications", "2"]
+        assert main(base) == 0
+        plain = capsys.readouterr().out
+        assert main(base + ["--profile"]) == 0
+        profiled = capsys.readouterr()
+        assert main(base + ["--trace", str(tmp_path / "t.jsonl")]) == 0
+        traced = capsys.readouterr().out
+        assert profiled.out == plain and traced == plain
+        (line,) = [l for l in profiled.err.splitlines() if l.startswith("engine:")]
+        assert "fast-forward declined: " in line and "bound " in line
+
     def test_trace_refuses_parallel_jobs(self, spec_file, tmp_path, capsys):
         assert main(["run", "--spec", spec_file,
                      "--trace", str(tmp_path / "t.jsonl"), "--jobs", "2"]) == 1

@@ -33,11 +33,16 @@ from hypothesis import strategies as st
 
 from repro.core.framework import Simulation, clear_model_cache, simulate_once
 from repro.core.registry import list_schedulers
+from repro.des import StreamFactory
 from repro.errors import ConfigurationError
-from repro.observability import SimTracer, check_trace
+from repro.metrics import mean_goodput, mean_spin_fraction, spin_tick_counts
+from repro.observability import SimTracer, check_trace, tracing
 from repro.observability import golden
 from repro.resilience import ChaosSpec, GuardPolicy
-from repro.san import ENGINES, resolve_engine
+from repro.san import ENGINES, build_simulator, resolve_engine
+from repro.schedulers import BUILTIN_ALGORITHMS
+from repro.vmm import build_virtual_system
+from repro.workloads import LockingWorkloadModel
 
 from ..conftest import make_spec
 
@@ -295,6 +300,114 @@ def test_fast_forward_off_with_impulse_rewards():
     # span would never report; the engine must notice and stay exact.
     _result, stats = _compiled_stats(small_spec("rrs"), extra_probes=True)
     assert stats["ticks_fast_forwarded"] == 0
+
+
+# -- rcs fast-forward: the exact skip horizon ---------------------------------
+
+
+def test_rcs_fast_forward_engages_and_is_exact():
+    result_on, stats_on = _compiled_stats(small_spec("rcs"))
+    result_off, stats_off = _compiled_stats(small_spec("rcs"), fast_forward=False)
+    assert result_on.metrics == result_off.metrics
+    assert result_on.completions == result_off.completions
+    assert stats_on["ticks_fast_forwarded"] > 0
+    assert (
+        stats_on["ticks_fired"] + stats_on["ticks_fast_forwarded"]
+        == stats_off["ticks_fired"]
+    )
+
+
+def test_health_aware_rcs_fast_forwards_exactly():
+    # The wrapper forwards the inner horizon, so at pristine health it
+    # coalesces ticks exactly as bare rcs does.
+    spec = small_spec("health_aware", inner="rcs")
+    assert_engines_agree(spec)
+    _result, stats = _compiled_stats(spec)
+    assert stats["ticks_fast_forwarded"] > 0
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"guard": GuardPolicy(mode="degrade")},
+        {
+            "guard": GuardPolicy(mode="degrade", quarantine_after=2),
+            "chaos": ChaosSpec(corrupt_replications=(0,), inject_after=100.0),
+        },
+    ],
+    ids=["guard", "chaos"],
+)
+def test_rcs_fast_forward_off_under_guard_and_chaos(kwargs):
+    # The wrappers override no horizon hook, so rcs's exact horizon is
+    # hidden behind them like every other algorithm's flag.
+    _result, stats = _compiled_stats(small_spec("rcs"), **kwargs)
+    assert stats["ticks_fast_forwarded"] == 0
+
+
+def test_fast_forward_declines_are_counted_and_reset():
+    sim = Simulation(small_spec("rcs"), root_seed=7, engine="compiled", reuse=True)
+    sim.run()
+    declines = sim.stats()["fast_forward_declines"]
+    assert set(declines) == {"algorithm", "pcpu_not_assigned", "health",
+                             "critical", "not_busy", "bound"}
+    assert sum(declines.values()) > 0
+    again = Simulation(small_spec("rcs"), root_seed=7, engine="compiled", reuse=True)
+    again.run()
+    assert again.stats()["fast_forward_declines"] == declines
+    clear_model_cache()
+
+
+@pytest.mark.slow
+class TestRcsVariantsBitIdentical:
+    """rcs shapes where its skip horizon, not the countdown, ends spans."""
+
+    def test_single_pcpu(self):
+        # Figure 8's starved end: the 2-VCPU VM runs one sibling at a
+        # time, so catch-up co-stops recur all run long.
+        spec = make_spec([2, 1, 1], pcpus=1, scheduler="rcs",
+                         sim_time=400, warmup=50)
+        assert_engines_agree(spec)
+        assert_engine_traces_identical(spec)
+
+    def test_tight_thresholds(self):
+        spec = make_spec([2, 2], pcpus=1, scheduler="rcs", sim_time=400,
+                         warmup=50, skew_threshold=3, relax_threshold=1)
+        assert_engines_agree(spec)
+        assert_engine_traces_identical(spec)
+
+
+def _critical_section_run(scheduler, engine):
+    """A locking workload (critical jobs spin on a VM lock), traced."""
+    topology = (2, 3)
+    system = build_virtual_system(
+        [(n, LockingWorkloadModel(critical_ratio=2)) for n in topology],
+        BUILTIN_ALGORITHMS[scheduler](),
+        4,
+        StreamFactory(3),
+    )
+    sim = build_simulator(system, StreamFactory(3), engine=engine)
+    spin = sim.add_reward(mean_spin_fraction(system, warmup=50))
+    goodput = sim.add_reward(mean_goodput(system, warmup=50))
+    tracer = SimTracer()
+    with tracing(tracer):
+        sim.run(until=500)
+    outcome = (spin.result(), goodput.result(), spin_tick_counts(system),
+               sim.completions)
+    return outcome, tracer
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("scheduler", ["rrs", "scs", "rcs"])
+def test_critical_sections_bit_identical(scheduler):
+    # A slot inside its critical section refuses fast-forward; the spans
+    # around the sections still coalesce and must stay exact.
+    reference, reference_trace = _critical_section_run(scheduler, "rescan")
+    want = golden.normalize(reference_trace.records)
+    for engine in FAST_ENGINES:
+        outcome, tracer = _critical_section_run(scheduler, engine)
+        assert outcome == reference, engine
+        assert golden.normalize(tracer.records) == want, engine
+        assert not check_trace(tracer.records), engine
 
 
 # -- batch engine: grouped replications over one shared calendar ---------------

@@ -4,8 +4,8 @@ The scheduling function looks at every VCPU slot, PCPU record and
 ``Last_Scheduled_In``/``VCPU*_PCPU`` place on every tick.  Those looks
 must not count as writes: a write re-stales every gate watching the
 cell, and a tick that re-stales every VCPU gate costs the compiled
-engine its advantage on the schedulers whose ticks cannot be
-fast-forwarded (``rcs``, ``sedf``).  These tests pin the write sets and
+engine its advantage on every tick it cannot fast-forward (all of
+``sedf``'s, and ``rcs``'s around its decisions).  These tests pin the write sets and
 the resulting gate-evaluation cost.
 """
 
@@ -19,6 +19,7 @@ from repro.des import StreamFactory
 from repro.observability import SimTracer
 from repro.observability import trace as _trace
 from repro.paper import FIG8_PCPU_RANGE, PAPER_SCHEDULERS, figure8_sweep
+from repro.resilience.degradation import DegradationModel, HVOverheadModel
 from repro.san import SANSimulator, places
 from repro.schedulers import FunctionScheduler, RoundRobinScheduler
 from repro.vmm import build_vcpu_scheduler
@@ -56,6 +57,32 @@ def test_idle_scheduling_func_writes_no_view_cell():
     assert names == {"Sched_tick", "VCPU1_Timeslice", "VCPU2_Timeslice"}
 
 
+def _clock_writes(model):
+    (clock,) = [a for a in model.activities() if a.name == "Clock"]
+    written = set()
+    with places.capturing_writes(written):
+        clock.complete(random.Random(0))
+    return {name for name, place in model.places().items() if place._cell in written}
+
+
+def test_pristine_tick_fanout_writes_no_health_cell():
+    # The degradation-aware fan-out only looks at the health records and
+    # hypervisor debts; on a pristine, debt-free tick it must not mark
+    # them written (that would re-stale every health gate each tick).
+    model = build_vcpu_scheduler(
+        RoundRobinScheduler(), 2, [1, 1, 1],
+        degradation=DegradationModel(mtbe=1e9), hv_overhead=HVOverheadModel(cost=1),
+    )
+    SANSimulator(model, StreamFactory(0)).run(until=3.5)
+    assert model.place("HV_Debts").peek() == [0, 0, 0]
+    names = _clock_writes(model)
+    assert "PCPU_Health" not in names and "HV_Debts" not in names
+    # A degraded core's bucket, and an outstanding debt, are real writes.
+    model.place("PCPU_Health").peek()[0]["health"] = 1
+    model.place("HV_Debts").peek()[1] = 1
+    assert {"PCPU_Health", "HV_Debts"} <= _clock_writes(model)
+
+
 @pytest.mark.parametrize("scheduler", PAPER_SCHEDULERS)
 def test_scheduling_func_writes_view_cells_only_when_deciding(scheduler):
     # Over a whole traced Fig-8 run: a Scheduling_Func firing that emits
@@ -87,17 +114,29 @@ def test_scheduling_func_writes_view_cells_only_when_deciding(scheduler):
 
 @pytest.mark.parametrize("pcpus", FIG8_PCPU_RANGE)
 def test_fig8_rcs_compiled_gate_evaluations_per_completion(pcpus):
-    # rcs never certifies a fast-forward span, so every tick runs; with
-    # the VMM gates in IR form and non-dirtying looks, a completion costs
-    # about 4.7 gate evaluations (it cost 7.5 when every tick re-staled
-    # every VCPU gate).
+    # Measured on fired ticks only (fast-forward off): skipped ticks add
+    # completions without gate evaluations and would dilute the ratio.
+    # With the VMM gates in IR form and non-dirtying looks, a completion
+    # costs about 4.7 gate evaluations (it cost 7.5 when every tick
+    # re-staled every VCPU gate).
     base, _ = figure8_sweep(sim_time=1000, warmup=100)
     spec = base.with_overrides(scheduler="rcs", pcpus=pcpus)
     sim = Simulation(spec, root_seed=1, engine="compiled")
+    sim.simulator.fast_forward = False
     sim.run()
     stats = sim.stats()
     assert stats["ticks_fast_forwarded"] == 0
     assert stats["gate_evaluations"] <= 5 * stats["completions"]
+
+
+@pytest.mark.parametrize("pcpus", FIG8_PCPU_RANGE)
+def test_fig8_rcs_fast_forwards_on_the_default_engine(pcpus):
+    # rcs answers an exact skip horizon, so its idle ticks coalesce too.
+    base, _ = figure8_sweep(sim_time=1000, warmup=100)
+    spec = base.with_overrides(scheduler="rcs", pcpus=pcpus)
+    sim = Simulation(spec, root_seed=1)
+    sim.run()
+    assert sim.stats()["ticks_fast_forwarded"] > 0
 
 
 def test_plain_fig8_stack_has_no_closure_gate():
