@@ -76,6 +76,7 @@ class HealthAwareScheduler(SchedulingAlgorithm):
                 raise SchedulingError("health_aware cannot wrap itself")
             self.inner = factory(timeslice=timeslice, **inner_params)
         self.timeslice = self.inner.timeslice
+        # Reported for introspection only; the engine reads the hooks.
         self.tick_skip_safe = self.inner.tick_skip_safe
 
     def reset(self) -> None:

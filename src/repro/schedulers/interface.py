@@ -159,7 +159,11 @@ class SchedulingAlgorithm:
             the horizon hook with an exact replay of that bookkeeping
             (see :class:`~repro.schedulers.relaxed_co.RelaxedCoScheduler`).
             Wrappers that override neither (guard, chaos) disable
-            fast-forward automatically.
+            fast-forward automatically.  Once a subclass overrides the
+            hook, the engine reads only the hook: the flag then just
+            records the BUSY-only certificate (rrs, scs, credit, hybrid
+            and balance keep it beside a hook that also admits READY
+            holders; health_aware reports its inner's).
     """
 
     name = "abstract"

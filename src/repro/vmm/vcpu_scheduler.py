@@ -233,18 +233,17 @@ class ClockFastForward:
         self._running: List[int] = []
         self._idle: List[int] = []
         self._now = 0.0
-        self.declines: Dict[str, int] = {}
         self.reset()
 
     def reset(self) -> None:
         """Zero the decline counters (a fresh replication)."""
-        self.declines = dict.fromkeys(self.DECLINE_REASONS, 0)
+        self.declines: Dict[str, int] = dict.fromkeys(self.DECLINE_REASONS, 0)
 
     def _decline(self, reason: str) -> int:
         self.declines[reason] += 1
         return 0
 
-    def max_skip(self, limit: Optional[int] = None) -> int:
+    def max_skip(self, limit: int) -> int:
         """Ticks certifiably skippable from the current marking (0 = none).
 
         ``limit`` caps the answer (the engine passes the span its own
@@ -296,9 +295,9 @@ class ClockFastForward:
                 idle.append(g)
             else:
                 return self._decline("not_busy")
-            if bound is None or room < bound:
+            if room < bound:
                 bound = room
-        if bound is None or bound < 2:
+        if bound < 2:
             return self._decline("bound")
         self._now = float(self._timestamp.tokens + 1)
         horizon = algorithm.tick_skip_horizon(
