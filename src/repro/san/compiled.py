@@ -262,8 +262,6 @@ class CompiledSANSimulator(SANSimulator):
         stats = super().stats()
         stats["enablement_refreshes"] = self.refreshes
         stats["watched_cells"] = len(self._watchers)
-        if self._ff_spec is not None:
-            stats["fast_forward_declines"] = dict(self._ff_spec.declines)
         return stats
 
     def reset(self, streams: Optional[StreamFactory] = None) -> None:

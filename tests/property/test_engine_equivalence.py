@@ -42,6 +42,7 @@ from repro.resilience import ChaosSpec, GuardPolicy
 from repro.san import ENGINES, build_simulator, resolve_engine
 from repro.schedulers import BUILTIN_ALGORITHMS
 from repro.vmm import build_virtual_system
+from repro.vmm.vcpu_scheduler import ClockFastForward
 from repro.workloads import LockingWorkloadModel
 
 from ..conftest import make_spec
@@ -344,16 +345,33 @@ def test_rcs_fast_forward_off_under_guard_and_chaos(kwargs):
     assert stats["ticks_fast_forwarded"] == 0
 
 
-def test_fast_forward_declines_are_counted_and_reset():
-    sim = Simulation(small_spec("rcs"), root_seed=7, engine="compiled", reuse=True)
+def _profiled_declines(spec):
+    sim = Simulation(spec, root_seed=7, engine="compiled", reuse=True, profile=True)
     sim.run()
-    declines = sim.stats()["fast_forward_declines"]
-    assert set(declines) == {"algorithm", "pcpu_not_assigned", "health",
-                             "critical", "not_busy", "bound"}
-    assert sum(declines.values()) > 0
-    again = Simulation(small_spec("rcs"), root_seed=7, engine="compiled", reuse=True)
-    again.run()
-    assert again.stats()["fast_forward_declines"] == declines
+    prefix = "engine.ff_declined."
+    counters = sim.stats()["profile"]["counters"]
+    declines = {
+        name[len(prefix):]: count
+        for name, count in counters.items()
+        if name.startswith(prefix)
+    }
+    return sim, declines
+
+
+def test_fast_forward_declines_are_counted_and_reset():
+    sim, declines = _profiled_declines(small_spec("rcs"))
+    assert declines and sum(declines.values()) > 0
+    assert set(declines) <= set(ClockFastForward.DECLINE_REASONS)
+    by_reason = {
+        reason: declines.get(reason, 0) for reason in ClockFastForward.DECLINE_REASONS
+    }
+    spec = sim.simulator._ff_spec
+    assert spec.declines == by_reason
+    # A reused model starts the next replication from zero counts.
+    again, again_declines = _profiled_declines(small_spec("rcs"))
+    assert again.simulator._ff_spec is spec
+    assert again_declines == declines
+    assert spec.declines == by_reason
     clear_model_cache()
 
 
